@@ -99,35 +99,48 @@ func selfMiterCNF(c *circuit.Circuit) *cnf.Formula {
 	return f
 }
 
-// solverDeepSet is one pass of solver-deep: shuffled multiplier
-// self-miters and pigeonhole (UNSAT by construction) and threshold
-// random 3-SAT (SAT and UNSAT; UNSAT answers are re-derived with a DRAT
-// proof and checked after the timed passes).
+// solverDeepSet is the instance set of one solver-deep pass: shuffled
+// multiplier self-miters and pigeonhole (UNSAT by construction) and
+// threshold random 3-SAT (SAT and UNSAT; UNSAT answers are re-derived
+// with a DRAT proof and checked after the timed passes). Every draw
+// shuffles the fixed families afresh and draws new random formulas; the
+// slots keep their family and order across the draws of one seed.
 //
-// The mix is chosen for a small seed-to-seed spread, not only for
-// depth. A threshold instance at 215 variables ranges over 15x in run
-// time and a php8 shuffle over +-20%, while multiplier self-miter
-// shuffles stay within about 8%; so the self-miters carry most of the
-// time and hold the median instance, php8 rides along, and random 3-SAT
-// enters as several small instances (whose DRAT checks, at 5-10x the
-// solve time, also stay cheap).
-func solverDeepSet(seed int64) []cnfInstance {
-	rng := rand.New(rand.NewSource(seed))
+// The shapes are chosen for a small seed-to-seed spread, not only for
+// depth. No family's shuffles solve in the same time: multiplier
+// self-miters and php8 range over +-25% (ArrayMultiplier(7) needs 34k to
+// 48k conflicts), and even wide adder miters, whose conflict counts
+// stay within 5%, range 0.9-1.5 s in search. With one fixed draw the
+// p99 of a pass is the slowest one or two instances, and it spread by
+// 0.16-0.26 of its median over ten seeds. So the benchmark takes each
+// slot's median over the passes' fresh draws, and makes the slowest
+// slots many: eight ArrayMultiplier(6) self-miters and two php8 (0.25 to
+// 0.5 s each, 10k-25k conflicts, search almost all propagate, analyze
+// and reduce) hold the median, the p95 and the p99; two random 3-SAT
+// instances at 160 variables are the fast end (their DRAT checks, at
+// 5-10x the solve time, stay cheap). A pass takes about 3.5 s, so six or
+// more run in 30 s.
+func solverDeepSet(seed int64, draw int) []cnfInstance {
+	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(draw)))
 	var out []cnfInstance
 	mult := selfMiterCNF(circuit.ArrayMultiplier(6))
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 8; i++ {
 		out = append(out, cnfInstance{"mult6-miter", cnf.DIMACSString(shuffleCNF(mult, rng)), expectUnsat})
 	}
 	php := gen.Pigeonhole(8)
 	for i := 0; i < 2; i++ {
 		out = append(out, cnfInstance{"php8", cnf.DIMACSString(shuffleCNF(php, rng)), expectUnsat})
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2; i++ {
 		f := gen.Random3SATHard(160, rng.Int63())
 		out = append(out, cnfInstance{"rand3sat-160", cnf.DIMACSString(f), expectAny})
 	}
-	rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
-	return out
+	order := rand.New(rand.NewSource(seed)).Perm(len(out))
+	slots := make([]cnfInstance, len(out))
+	for i, k := range order {
+		slots[k] = out[i]
+	}
+	return slots
 }
 
 // benchText writes c (with optional latches) as .bench text with every

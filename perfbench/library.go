@@ -21,21 +21,37 @@ import (
 // The two library workloads run a closed loop on one goroutine: the
 // next call starts when the previous one returns. A pass runs every
 // instance once; passes repeat while a whole pass still fits in the
-// measured seconds (at least one pass always runs).
+// measured seconds (at least two passes always run).
+//
+// Set-up is timed before every pass: the whole instance set is loaded
+// setupReps times back to back (the public parsers plus solver
+// construction), and setup_s is the median over all passes' loads. The
+// passes spread the loads over the run, so they sample the shared host's
+// speed swings, which last about a second, and the median discards a
+// load that a stall hit.
 
-// setupReps is how many times a library workload loads its whole
-// instance set to time set-up; the median is reported.
-const setupReps = 7
+// setupReps is how many times each pass loads the instance set first.
+const setupReps = 5
+
+// timeLoads appends setupReps timings (s) of load to setups.
+func timeLoads(setups []float64, load func() error) ([]float64, error) {
+	for r := 0; r < setupReps; r++ {
+		t := time.Now()
+		if err := load(); err != nil {
+			return setups, err
+		}
+		setups = append(setups, time.Since(t).Seconds())
+	}
+	return setups, nil
+}
 
 // loop runs passes until the budget is spent. pass(i) returns the
-// pass's wall time. A traced run needs at least one untraced and one
-// traced pass.
+// pass's wall time. At least two passes run, so that a traced run has an
+// untraced and a traced pass and a slow host does not drop an untraced
+// run to a single pass.
 func loop(cfg *config, pass func(i int) time.Duration) []time.Duration {
 	budget := time.Duration(cfg.seconds * float64(time.Second))
-	minPasses := 1
-	if cfg.trace {
-		minPasses = 2
-	}
+	const minPasses = 2
 	start := time.Now()
 	var walls []time.Duration
 	for i := 0; ; i++ {
@@ -44,6 +60,19 @@ func loop(cfg *config, pass func(i int) time.Duration) []time.Duration {
 			return walls
 		}
 	}
+}
+
+// drawOf is the input draw pass p runs. The library workloads draw
+// fresh inputs (new shuffles, renamings and random formulas) every pass,
+// so an op's median over the passes does not hang on the luck of one
+// shuffle; a traced run runs each draw twice, untraced and then traced,
+// so that the two passes, whose walls give the tracing overhead, do the
+// same work.
+func drawOf(cfg *config, p int) int {
+	if cfg.trace {
+		return p / 2
+	}
+	return p
 }
 
 // opLatencies keeps each op's latency (ms) per pass. Percentiles are
@@ -101,33 +130,37 @@ type deepAnswer struct {
 }
 
 func runSolverDeep(cfg *config) (*outcome, error) {
-	set := solverDeepSet(cfg.seed)
 	out := &outcome{metrics: map[string]float64{}}
 
-	// Set-up: the public parser plus solver construction over the whole
-	// set, repeated; the median sum is reported.
-	var setups []float64
-	for r := 0; r < setupReps; r++ {
-		runtime.GC() // so one repetition does not pay for the last one's garbage
-		var total time.Duration
-		for _, in := range set {
-			t := time.Now()
-			f, err := cnf.ParseDIMACSString(in.text)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", in.family, err)
-			}
-			solver.FromFormula(f, solver.Options{})
-			total += time.Since(t)
+	// In a traced run the two passes of a draw must agree on every
+	// verdict and conflict count.
+	draws := map[int][]cnfInstance{}
+	setOf := func(p int) []cnfInstance {
+		d := drawOf(cfg, p)
+		if draws[d] == nil {
+			draws[d] = solverDeepSet(cfg.seed, d)
 		}
-		setups = append(setups, total.Seconds())
+		return draws[d]
 	}
-
-	first := make([]deepAnswer, len(set))
+	loadDeep := func(set []cnfInstance) func() error {
+		return func() error {
+			for _, in := range set {
+				f, err := cnf.ParseDIMACSString(in.text)
+				if err != nil {
+					return fmt.Errorf("%s: %v", in.family, err)
+				}
+				solver.FromFormula(f, solver.Options{})
+			}
+			return nil
+		}
+	}
+	first := map[int][]deepAnswer{} // draw -> answers of its first pass
+	type proofCase struct{ draw, slot int }
 	famMS := map[string]float64{} // first pass, per family: a spread diagnostic
 	lats := opLatencies{}
-	var unsatToProve []int
+	var unsatToProve []proofCase
 	tr := newTracer(cfg.trace)
-	var traced, untraced []float64
+	var traced, untraced, setups []float64
 	var layer struct {
 		ls                              loadStats
 		phase                           [solver.PhaseCount]int64
@@ -150,6 +183,16 @@ func runSolverDeep(cfg *config) (*outcome, error) {
 		t := tr
 		if cfg.trace && p%2 == 0 {
 			t = nil
+		}
+		set := setOf(p)
+		d := drawOf(cfg, p)
+		seen := first[d] != nil
+		if !seen {
+			first[d] = make([]deepAnswer, len(set))
+		}
+		var err error
+		if setups, err = timeLoads(setups, loadDeep(set)); err != nil {
+			fmt.Fprintln(os.Stderr, "perfbench: solver-deep load:", err)
 		}
 		runtime.GC() // so one pass does not pay for the last one's garbage
 		start := time.Now()
@@ -217,38 +260,40 @@ func runSolverDeep(cfg *config) (*outcome, error) {
 			case st == solver.Unknown:
 				out.failed++
 			}
-			if p == 0 {
-				first[i] = deepAnswer{st, s.Stats.Conflicts}
+			if !seen {
+				first[d][i] = deepAnswer{st, s.Stats.Conflicts}
 				if st == solver.Unsat && in.want == expectAny {
-					unsatToProve = append(unsatToProve, i)
+					unsatToProve = append(unsatToProve, proofCase{d, i})
 				}
-			} else if first[i] != (deepAnswer{st, s.Stats.Conflicts}) {
-				fmt.Fprintf(os.Stderr, "perfbench: %s instance %d: pass %d gave %v/%d conflicts, pass 1 %v/%d\n",
-					in.family, i, p+1, st, s.Stats.Conflicts, first[i].status, first[i].conflicts)
+			} else if a := first[d][i]; a != (deepAnswer{st, s.Stats.Conflicts}) {
+				fmt.Fprintf(os.Stderr, "perfbench: %s draw %d slot %d: pass %d gave %v/%d conflicts, the draw's first pass %v/%d\n",
+					in.family, d, i, p+1, st, s.Stats.Conflicts, a.status, a.conflicts)
 				out.wrong++
 			}
 		}
-		d := time.Since(start)
+		wall := time.Since(start)
 		if t != nil {
-			traced = append(traced, d.Seconds())
+			traced = append(traced, wall.Seconds())
 		} else {
-			untraced = append(untraced, d.Seconds())
+			untraced = append(untraced, wall.Seconds())
 		}
-		return d
+		return wall
 	})
 	cpu := selfCPU() - cpu0
+	peakRSS := selfPeakRSSMiB() // before the proof checks below
 
 	// Untimed proof of every UNSAT answer that is not UNSAT by
 	// construction: re-solve with DRAT logging and check the proof.
 	proofStart := time.Now()
-	for _, i := range unsatToProve {
-		f, _ := cnf.ParseDIMACSString(set[i].text)
+	for _, c := range unsatToProve {
+		in := draws[c.draw][c.slot]
+		f, _ := cnf.ParseDIMACSString(in.text)
 		var drat bytes.Buffer
 		w := solver.NewDRATWriter(&drat)
 		s := solver.FromFormula(f, solver.Options{Proof: w})
 		st := s.Solve()
 		if err := w.Flush(); err != nil || st != solver.Unsat || solver.VerifyDRAT(f, &drat) != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: %s instance %d: UNSAT answer not certified\n", set[i].family, i)
+			fmt.Fprintf(os.Stderr, "perfbench: %s draw %d slot %d: UNSAT answer not certified\n", in.family, c.draw, c.slot)
 			out.wrong++
 		}
 	}
@@ -268,16 +313,16 @@ func runSolverDeep(cfg *config) (*outcome, error) {
 	m["goodput_ops_per_s"] = float64(out.attempted-out.failed) / sum(wallS)
 	m["max_rate_rps"] = float64(out.attempted) / busy // a closed loop's rate is its capacity
 	m["cpu_ms_per_op"] = ms(cpu) / float64(out.attempted)
-	m["peak_rss_mb"] = selfPeakRSSMiB()
+	m["peak_rss_mb"] = peakRSS
 	fmt.Fprintf(os.Stderr, "perfbench: solver-deep seed %d: %d instances x %d passes, pass walls %v, first-pass ms by family %v, %d UNSAT proofs checked in %v\n",
-		cfg.seed, len(set), passes, wallS, famMS, len(unsatToProve), time.Since(proofStart).Round(time.Millisecond))
+		cfg.seed, len(draws[0]), passes, wallS, famMS, len(unsatToProve), time.Since(proofStart).Round(time.Millisecond))
 
 	if cfg.trace {
 		var texts []string
-		for _, in := range set {
+		for _, in := range draws[0] {
 			texts = append(texts, in.text)
 		}
-		byName := tr.selfByName()
+		byName := tr.durByName()
 		phaseSum := int64(0)
 		for _, ns := range layer.phase {
 			phaseSum += ns
@@ -358,8 +403,8 @@ var (
 	alu16Expect = atpgExpect{894, 879, 15}
 )
 
-func edaSet(seed int64) edaInputs {
-	rng := rand.New(rand.NewSource(seed))
+func edaSet(seed int64, draw int) edaInputs {
+	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(draw)))
 	return edaInputs{
 		mult8:   benchText(circuit.ArrayMultiplier(8), nil, rng),
 		alu16:   benchText(circuit.ALU(16), nil, rng),
@@ -377,27 +422,22 @@ func parseBench(t *tracer, op int64, text string) (*circuit.Circuit, error) {
 }
 
 func runEDAFlows(cfg *config) (*outcome, error) {
-	in := edaSet(cfg.seed)
 	out := &outcome{metrics: map[string]float64{}}
 
-	var setups []float64
-	for r := 0; r < setupReps; r++ {
-		runtime.GC() // so one repetition does not pay for the last one's garbage
-		t := time.Now()
-		for _, text := range []string{in.mult8, in.alu16, in.adderA, in.adderB} {
-			if _, _, err := circuit.ParseBench(strings.NewReader(text)); err != nil {
-				return nil, fmt.Errorf("eda-flows: %v", err)
+	loadEDA := func(in edaInputs) func() error {
+		return func() error {
+			for _, text := range []string{in.mult8, in.alu16, in.adderA, in.adderB} {
+				if _, _, err := circuit.ParseBench(strings.NewReader(text)); err != nil {
+					return err
+				}
 			}
+			_, err := bmc.FromBench(strings.NewReader(in.counter))
+			return err
 		}
-		if _, err := bmc.FromBench(strings.NewReader(in.counter)); err != nil {
-			return nil, fmt.Errorf("eda-flows: %v", err)
-		}
-		setups = append(setups, time.Since(t).Seconds())
 	}
-
 	tr := newTracer(cfg.trace)
 	lats := opLatencies{}
-	var traced, untraced []float64
+	var traced, untraced, setups []float64
 	var layer struct {
 		atpgTime, cecTime, bmcTime time.Duration
 		faults, satCalls, bySim    int
@@ -437,6 +477,11 @@ func runEDAFlows(cfg *config) (*outcome, error) {
 		var m0 runtime.MemStats
 		if measure {
 			runtime.ReadMemStats(&m0)
+		}
+		in := edaSet(cfg.seed, drawOf(cfg, p))
+		var err error
+		if setups, err = timeLoads(setups, loadEDA(in)); err != nil {
+			fmt.Fprintln(os.Stderr, "perfbench: eda-flows load:", err)
 		}
 		runtime.GC() // so one pass does not pay for the last one's garbage
 		start := time.Now()
@@ -564,6 +609,7 @@ func runEDAFlows(cfg *config) (*outcome, error) {
 		return d
 	})
 	cpu := selfCPU() - cpu0
+	peakRSS := selfPeakRSSMiB() // before the fault-simulation checks below
 
 	// Untimed: every fault ATPG reports detected must be detected by
 	// the reported test set under fault simulation.
@@ -588,7 +634,7 @@ func runEDAFlows(cfg *config) (*outcome, error) {
 	m["goodput_ops_per_s"] = float64(out.attempted-out.failed) / sum(wallS)
 	m["max_rate_rps"] = float64(out.attempted) / (lats.total() / 1000)
 	m["cpu_ms_per_op"] = ms(cpu) / float64(out.attempted)
-	m["peak_rss_mb"] = selfPeakRSSMiB()
+	m["peak_rss_mb"] = peakRSS
 	fmt.Fprintf(os.Stderr, "perfbench: eda-flows seed %d: %d passes, pass walls %v, per-op median ms %v\n", cfg.seed, len(walls), wallS, per)
 	for k, r := range lastATPG {
 		fmt.Fprintf(os.Stderr, "perfbench: eda-flows atpg op %d: total %d detected %d redundant %d aborted %d, %d SAT calls, %d by simulation\n",
@@ -596,7 +642,7 @@ func runEDAFlows(cfg *config) (*outcome, error) {
 	}
 
 	if cfg.trace {
-		byName := tr.selfByName()
+		byName := tr.durByName()
 		snap := layer.mon.Snapshot()
 		totals := snap.PhaseTotals()
 		ns := make([]int64, solver.PhaseCount)
@@ -607,7 +653,7 @@ func runEDAFlows(cfg *config) (*outcome, error) {
 		}
 		phaseMetrics(m, ns)
 		m["circuit.parse_ms"] = (sum(byName["circuit.ParseBench"]) + sum(byName["bmc.FromBench"])) / float64(len(traced))
-		loadMS, bpv := edaLoadProbe(in)
+		loadMS, bpv := edaLoadProbe(edaSet(cfg.seed, 0)) // the draw of the measured pass
 		m["solver.load_ms"] = loadMS
 		m["solver.bytes_per_var"] = bpv
 		m["solver.allocs_per_conflict"] = ratio(float64(layer.mallocs), float64(layer.confl))

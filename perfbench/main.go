@@ -1,7 +1,7 @@
 // Command perfbench is the repository benchmark. It runs one seeded
 // workload against the program's public surface — the library
 // packages for solver-deep and eda-flows, a satserved child process for
-// serve-heavy and serve-light — checks every answer, and prints one
+// serve-heavy — checks every answer, and prints one
 // JSON line with the end-to-end metrics (untraced run) or the per-layer
 // metrics (traced run). See README.md for the metric map.
 //
@@ -108,7 +108,7 @@ type config struct {
 	seed      int64
 	seconds   float64
 	trace     bool
-	satserved string // path of the satserved binary (serve-* only)
+	satserved string // path of the satserved binary (serve-heavy only)
 	work      string // scratch directory inside the checkout
 }
 
@@ -143,17 +143,16 @@ var workloads = map[string]func(*config) (*outcome, error){
 	"solver-deep": runSolverDeep,
 	"eda-flows":   runEDAFlows,
 	"serve-heavy": runServeHeavy,
-	"serve-light": runServeLight,
 }
 
 func main() {
 	cfg := &config{}
 	var traceFlag int
-	flag.StringVar(&cfg.workload, "workload", "", "solver-deep | eda-flows | serve-heavy | serve-light")
+	flag.StringVar(&cfg.workload, "workload", "", "solver-deep | eda-flows | serve-heavy")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed: the same seed gives the same inputs")
 	flag.Float64Var(&cfg.seconds, "seconds", 20, "measured seconds")
 	flag.IntVar(&traceFlag, "trace", 0, "1 = traced run reporting per-layer metrics")
-	flag.StringVar(&cfg.satserved, "satserved", "", "satserved binary (serve-* workloads)")
+	flag.StringVar(&cfg.satserved, "satserved", "", "satserved binary (serve-heavy)")
 	flag.StringVar(&cfg.work, "work", ".bench_build/work", "scratch directory for stores and traces")
 	flag.Parse()
 	cfg.trace = traceFlag == 1

@@ -26,21 +26,25 @@ import (
 	"repro/internal/cec"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
-// The serve workloads drive a satserved child process over HTTP with
-// an open loop: arrival times are drawn up front (a fixed count of
-// arrivals spread uniformly over the window, which is a Poisson process
-// conditioned on its count), each operation is timed from when it was
-// due, and at most nproc connections carry the load, so a stall makes
-// later operations late rather than spawning more clients.
+// serve-heavy drives a satserved child process over HTTP with
+// an open loop: arrival times are drawn up front (one uniformly inside
+// each of n equal intervals of the window), each operation is timed from
+// when it was due, and at most nproc connections carry the load, so a
+// stall makes later operations late rather than spawning more clients.
 
-// serverStarts is how many times a serve workload boots the server to
-// time set-up; the median is reported and the last boot serves the load.
-const serverStarts = 5
+// serverStarts is how many times serve-heavy boots the server to time
+// set-up; the median is reported and the last boot serves the load. A
+// boot takes about 10 ms and the shared host's speed swings last about
+// a second, so the boots are spread bootGap apart: back to back they
+// would all land in one swing.
+const (
+	serverStarts = 21
+	bootGap      = 150 * time.Millisecond
+)
 
 // server is one satserved child process.
 type server struct {
@@ -181,7 +185,7 @@ func scrape(c *http.Client, base string) (map[string]float64, error) {
 // window by check, so checking never competes with the server for CPU.
 type op struct {
 	due   time.Duration
-	kind  string // dimacs | proof | cec | bmc | repeat | fresh | session | batch
+	kind  string // miter | proof | planted | cec | cec-bug | bmc | repeat | session
 	path  string
 	body  []byte
 	check func(o *op, r *opResult, c *http.Client, base string) error
@@ -189,7 +193,6 @@ type op struct {
 	formula *cnf.Formula
 	text    string // DIMACS text, for the cnf layer probe
 	bench   []string
-	items   int // batch size
 	extra   any // kind-specific check data
 }
 
@@ -280,40 +283,46 @@ func checkSat(o *op, r *opResult, _ *http.Client, _ string) error {
 	return nil
 }
 
-// checkProof verifies a proof job: a SAT model directly, an UNSAT
-// verdict by fetching its DRAT refutation and checking it here.
+// checkUnsat requires UNSAT (self-miters are UNSAT by construction).
+func checkUnsat(_ *op, r *opResult, _ *http.Client, _ string) error {
+	v, err := decodeJob(r)
+	if err != nil {
+		return err
+	}
+	if v.Result.Verdict != "UNSAT" {
+		return errWrong
+	}
+	return nil
+}
+
+// checkProof verifies a proof job: the self-miter must be UNSAT, and
+// the DRAT refutation the server certified is fetched and checked here.
 func checkProof(o *op, r *opResult, c *http.Client, base string) error {
 	v, err := decodeJob(r)
 	if err != nil {
 		return err
 	}
-	switch v.Result.Verdict {
-	case "SAT":
-		if !modelSatisfies(o.formula, v.Result.Model) {
-			return errWrong
-		}
-		return nil
-	case "UNSAT":
-		resp, err := c.Get(base + "/v1/jobs/" + v.ID + "/proof")
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		var p struct {
-			Proof *struct {
-				Checker string `json:"checker"`
-				DRAT    string `json:"drat"`
-			} `json:"proof"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil || p.Proof == nil {
-			return fmt.Errorf("proof fetch: %v", err)
-		}
-		if p.Proof.Checker != "verified" || solver.VerifyDRAT(o.formula, strings.NewReader(p.Proof.DRAT)) != nil {
-			return errWrong
-		}
-		return nil
+	if v.Result.Verdict != "UNSAT" {
+		return errWrong
 	}
-	return errWrong
+	resp, err := c.Get(base + "/v1/jobs/" + v.ID + "/proof")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var p struct {
+		Proof *struct {
+			Checker string `json:"checker"`
+			DRAT    string `json:"drat"`
+		} `json:"proof"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil || p.Proof == nil {
+		return fmt.Errorf("proof fetch: %v", err)
+	}
+	if p.Proof.Checker != "verified" || solver.VerifyDRAT(o.formula, strings.NewReader(p.Proof.DRAT)) != nil {
+		return errWrong
+	}
+	return nil
 }
 
 // cecCase is the check data of a CEC op.
@@ -387,43 +396,6 @@ func checkSession(o *op, r *opResult, _ *http.Client, _ string) error {
 	return nil
 }
 
-// checkBatch requires one decided, checked line per item.
-func checkBatch(o *op, r *opResult, _ *http.Client, _ string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.status != http.StatusOK {
-		return fmt.Errorf("status %d", r.status)
-	}
-	forms := o.extra.([]*cnf.Formula)
-	seen := 0
-	sc := bufio.NewScanner(bytes.NewReader(r.body))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var line struct {
-			Index int `json:"index"`
-			jobView
-		}
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return err
-		}
-		if line.Index < 0 || line.Index >= len(forms) || line.Result == nil || !line.Result.Decided {
-			return errors.New("undecided batch item")
-		}
-		if line.Result.Verdict != "SAT" || !modelSatisfies(forms[line.Index], line.Result.Model) {
-			return errWrong
-		}
-		seen++
-	}
-	if seen != len(forms) {
-		return fmt.Errorf("batch: %d of %d lines", seen, len(forms))
-	}
-	return nil
-}
-
 // ---- the open-loop runner ------------------------------------------------
 
 // loader sends ops to one server.
@@ -488,7 +460,7 @@ func (l *loader) send(o *op, r *opResult, due time.Time) {
 	r.done = time.Now()
 	r.err = err
 	r.latency = r.done.Sub(due)
-	if o.kind == "session" || o.kind == "batch" || r.status != http.StatusOK {
+	if o.kind == "session" || r.status != http.StatusOK {
 		return
 	}
 	var v jobView
@@ -540,13 +512,14 @@ func (l *loader) checkAll(ops []op, res []opResult) (int64, int64) {
 	return failed, wrong
 }
 
-// arrivals spreads n due times uniformly over window, sorted.
+// arrivals splits window into n equal intervals and draws one due time
+// uniformly inside each, so the due times are sorted.
 func arrivals(rng *rand.Rand, n int, window time.Duration) []time.Duration {
 	out := make([]time.Duration, n)
+	slot := float64(window) / float64(n)
 	for i := range out {
-		out[i] = time.Duration(rng.Float64() * float64(window))
+		out[i] = time.Duration((float64(i) + rng.Float64()) * slot)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -566,27 +539,6 @@ func deck(rng *rand.Rand, n int, kinds []string, shares []float64) []string {
 	}
 	rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
 	return out
-}
-
-// subWindowPercentile is the median over n equal slices of the window
-// (by due time) of the q-percentile of the latencies lats (parallel to
-// ops). With ms-scale ops, a stall of the shared host inside one slice
-// then moves no percentile; slow ops need the whole window (n = 1) to
-// keep samples beyond the p99.
-func subWindowPercentile(ops []op, lats []float64, q float64, n int) float64 {
-	span := ops[len(ops)-1].due + 1
-	slices := make([][]float64, n)
-	for i := range ops {
-		k := int(int64(ops[i].due) * int64(n) / int64(span))
-		slices[k] = append(slices[k], lats[i])
-	}
-	var ps []float64
-	for _, sl := range slices {
-		if len(sl) > 0 {
-			ps = append(ps, percentile(sl, q))
-		}
-	}
-	return median(ps)
 }
 
 // windowStats summarises one window's results against a latency limit.
@@ -617,9 +569,12 @@ func summarize(res []opResult, limit time.Duration) windowStats {
 // ---- max-rate ladder -----------------------------------------------------
 
 // probeWindow is the arrival window of one ladder probe. The host's
-// speed swings by up to 2x from one second to the next, so a probe must
-// span a few seconds for its verdict to reflect the rate.
-const probeWindow = 2 * time.Second
+// speed swings by up to 2x from one second to the next, and near
+// capacity a probe's p95 hangs on a few bursts of heavy jobs, so a probe
+// must span seconds for its verdict to reflect the rate: with 2 s
+// probes the p95 at one rate read anywhere from 90 to 450 ms. Over 4 s
+// an overload also builds a backlog that shows clearly.
+const probeWindow = 4 * time.Second
 
 // maxRateFactor bounds the ladder search to this multiple of a
 // workload's window rate, which also bounds a probe's op count.
@@ -638,10 +593,9 @@ func rungBelow(r float64) int { return int(math.Floor(math.Log(r)/math.Log(ladde
 // maxRate searches the fixed ladder for the highest rate at which a
 // probe of n ops meets: p95 latency within limit, at most 1% failed,
 // and no growing backlog (the last answer lands within limit of the
-// last arrival). It starts from an estimate and brackets by 2 rungs.
-// mk builds a probe's ops at a rate. A rung fails only when two probes
-// in a row fail: near capacity, one stall of a shared host fails a
-// probe that the rung would otherwise pass.
+// last arrival). It starts from an estimate and gallops outward (2, 4,
+// 8 ... rungs) until a rung passes and a rung fails, then bisects.
+// mk builds a probe's ops at a rate. One probe decides a rung.
 func maxRate(l *loader, windowRate, estimate float64, limit time.Duration, budget time.Duration, mk func(rate float64, probe int) []op) (float64, int) {
 	start := time.Now()
 	probes := 0
@@ -658,20 +612,22 @@ func maxRate(l *loader, windowRate, estimate float64, limit time.Duration, budge
 			k, rate, percentile(w.lats, 0.95), w.failed, backlog.Round(time.Millisecond), ok)
 		return ok
 	}
-	passes := func(k int) bool { return probe(k) || probe(k) }
 	lo, hi := -1<<30, 1<<30
 	k := rungBelow(estimate)
+	step := 2
 	for hi-lo > 1 && time.Since(start) < budget && rung(k) <= maxRateFactor*windowRate {
-		if passes(k) {
+		if probe(k) {
 			lo = k
 		} else {
 			hi = k
 		}
 		switch {
 		case hi == 1<<30:
-			k = lo + 2
+			k = lo + step
+			step *= 2
 		case lo == -1<<30:
-			k = hi - 2
+			k = hi - step
+			step *= 2
 		default:
 			k = (lo + hi) / 2
 		}
@@ -809,8 +765,9 @@ func probeBench(tr *tracer, texts []string) float64 {
 	return ms(total)
 }
 
-// bootServers boots the server serverStarts times on args, stopping all
-// but the last, and returns it with the median boot time.
+// bootServers boots the server serverStarts times on args, bootGap
+// apart, stopping all but the last, and returns it with the median boot
+// time.
 func bootServers(cfg *config, args []string) (*server, float64, error) {
 	var setups []float64
 	var s *server
@@ -824,13 +781,41 @@ func bootServers(cfg *config, args []string) (*server, float64, error) {
 		setups = append(setups, d.Seconds())
 		if i < serverStarts-1 {
 			s.stop()
+			time.Sleep(bootGap)
 		}
 	}
+	sort.Float64s(setups)
+	fmt.Fprintf(os.Stderr, "perfbench: %d boots, s: min %.4f median %.4f max %.4f\n", len(setups), setups[0], median(setups), setups[len(setups)-1])
 	return s, median(setups), nil
 }
 
-// serveRun is the common shape of a serve workload run: a measured
-// window at a fixed rate, then the max-rate ladder.
+// serveRounds is how many rounds the window is split into. The window
+// has a fixed set of slots, each of one op kind; every round sends a
+// fresh op for each slot (a new shuffle, renaming or formula, so a
+// unique job), and a slot's latency is the median over its rounds. A
+// host stall that hits one op, or a shuffle that happens to solve
+// slowly, then moves no percentile: multiplier self-miter shuffles
+// alone range over +-25% in solve time.
+const serveRounds = 3
+
+// rounds returns the window's ops, serveRounds rounds over n/serveRounds
+// slots whose kinds are dealt once in exact shares, each round in a
+// fresh order, and for each op the index of its slot.
+func (st *serveState) rounds(rng *rand.Rand, n int, kinds []string, shares []float64) (ops []op, slot []int) {
+	slotKinds := deck(rng, n/serveRounds, kinds, shares)
+	for r := 0; r < serveRounds; r++ {
+		for _, k := range rng.Perm(len(slotKinds)) {
+			var o op
+			st.buildOp(&o, slotKinds[k], rng)
+			ops = append(ops, o)
+			slot = append(slot, k)
+		}
+	}
+	return ops, slot
+}
+
+// serveRun is a serve workload run: a measured window at a fixed rate,
+// then the max-rate ladder.
 type serveRun struct {
 	cfg    *config
 	srv    *server
@@ -838,11 +823,8 @@ type serveRun struct {
 	limit  time.Duration
 	window time.Duration
 	rate   float64
-	slices int                              // latency percentiles: median over this many window slices
-	mk     func(rng *rand.Rand, n int) []op // builds n ops, dues unset
-	// afterWindow is called once the window's checks are done, with the
-	// metric map, while the server is still up.
-	afterWindow func(m map[string]float64, ops []op, res []opResult, before, after map[string]float64)
+	slots  func(rng *rand.Rand, n int) ([]op, []int) // the window's n ops and their slots, dues unset
+	mk     func(rng *rand.Rand, n int) []op          // builds n ladder probe ops, dues unset
 }
 
 func (sr *serveRun) exec() (*outcome, error) {
@@ -852,8 +834,8 @@ func (sr *serveRun) exec() (*outcome, error) {
 	m := out.metrics
 	rng := rand.New(rand.NewSource(cfg.seed*7919 + 17))
 	n := int(math.Round(sr.rate * sr.window.Seconds()))
-	ops := sr.mk(rng, n)
-	for i, d := range arrivals(rng, n, sr.window) {
+	ops, slot := sr.slots(rng, n)
+	for i, d := range arrivals(rng, len(ops), sr.window) {
 		ops[i].due = d
 	}
 	l := newLoader(sr.srv.base)
@@ -895,6 +877,9 @@ func (sr *serveRun) exec() (*outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scrape: %w", err)
 	}
+	// Before the checks, which fetch proofs, and the ladder, whose rates
+	// vary by seed and host speed.
+	m["peak_rss_mb"] = sr.srv.peakRSSMiB()
 	out.attempted = int64(len(ops))
 	out.failed, out.wrong = l.checkAll(ops, res)
 	w := summarize(res, sr.limit)
@@ -914,9 +899,14 @@ func (sr *serveRun) exec() (*outcome, error) {
 
 	m["setup_s"] = sr.setup
 	m["wall_s"] = elapsed.Seconds()
-	m["latency_p50_ms"] = subWindowPercentile(ops, w.lats, 0.50, sr.slices)
-	m["latency_p95_ms"] = subWindowPercentile(ops, w.lats, 0.95, sr.slices)
-	m["latency_p99_ms"] = subWindowPercentile(ops, w.lats, 0.99, sr.slices)
+	perSlot := opLatencies{}
+	for i := range res {
+		perSlot.add(slot[i], ms(res[i].latency))
+	}
+	slotLat := perSlot.medians()
+	m["latency_p50_ms"] = percentile(slotLat, 0.50)
+	m["latency_p95_ms"] = percentile(slotLat, 0.95)
+	m["latency_p99_ms"] = percentile(slotLat, 0.99)
 	m["goodput_ops_per_s"] = float64(w.okWithin) / lastSent.Sub(start).Seconds()
 	m["cpu_ms_per_op"] = ms(cpu) / float64(max(completed, 1))
 	m["bench.generator_late_ms"] = percentile(late, 0.95)
@@ -966,30 +956,36 @@ func (sr *serveRun) exec() (*outcome, error) {
 	m["session.checkpoint_bytes"] = after["satserved_session_checkpoint_bytes"]
 	m["store.replay_ms"] = after["satserved_store_replay_seconds"] * 1000
 	m["store.compactions"] = after["satserved_store_compactions_total"] - before["satserved_store_compactions_total"]
-	if sr.afterWindow != nil {
-		sr.afterWindow(m, ops, res, before, after)
-	}
-	// Before the ladder, whose rates vary by seed and host speed.
-	m["peak_rss_mb"] = sr.srv.peakRSSMiB()
+	out.checks = append(out.checks, cacheCheck(m, ops))
+	sessionLatency(m, ops, res)
+	walBytesPerWrite(m, before, after)
 	if cfg.trace {
 		// The traced run reports per-layer metrics only; it skips the
 		// ladder.
 		return out, tr.write(tracePath(cfg))
 	}
 
-	// Max rate: start from the capacity the window suggests — the
-	// server's CPUs over its CPU per op, or the client's connections
-	// over the mean service time, whichever is lower — capped at
-	// maxRateFactor times the window's rate.
+	// Max rate: start from the capacity the window suggests, between
+	// two bounds taken at the window's light load: the server's CPUs
+	// over its CPU per op, which is low because a lone job's racing
+	// portfolio workers spend more CPU per op than the fair share lets
+	// them under load, and the client's connections over the mean
+	// service time, which is high because service stretches under load.
+	// Their geometric mean, capped at maxRateFactor times the window's
+	// rate, lands within a few rungs of the answer (about 1.5 times the
+	// CPU bound here), so the search settles before its budget runs out;
+	// a search that the budget cuts short reports where the cut fell.
 	meanSvc := 0.0
 	for i := range res {
 		meanSvc += res[i].done.Sub(res[i].sent).Seconds()
 	}
 	meanSvc /= float64(len(res))
-	est := math.Min(float64(runtime.NumCPU())*1000/math.Max(m["cpu_ms_per_op"], 1e-3), float64(l.conns)/math.Max(meanSvc, 1e-6))
-	est = math.Min(0.9*est, maxRateFactor*sr.rate)
-	ladderBudget := max(time.Duration(cfg.seconds*float64(time.Second))-time.Since(start),
-		time.Duration(cfg.seconds*0.4*float64(time.Second)))
+	cpuBound := float64(runtime.NumCPU()) * 1000 / math.Max(m["cpu_ms_per_op"], 1e-3)
+	connBound := float64(l.conns) / math.Max(meanSvc, 1e-6)
+	est := math.Min(math.Sqrt(cpuBound*connBound), maxRateFactor*sr.rate)
+	// The budget lets the gallop and the bisection settle to one rung
+	// (three to five probes) on this workload.
+	ladderBudget := time.Duration(cfg.seconds * 0.6 * float64(time.Second))
 	rate, probes := maxRate(l, sr.rate, est, sr.limit, ladderBudget, func(rate float64, probe int) []op {
 		prng := rand.New(rand.NewSource(cfg.seed*104729 + int64(probe)))
 		n := int(math.Ceil(rate * probeWindow.Seconds()))
@@ -1000,19 +996,21 @@ func (sr *serveRun) exec() (*outcome, error) {
 		return pops
 	})
 	m["max_rate_rps"] = rate
-	fmt.Fprintf(os.Stderr, "perfbench: %s max rate %.2f/s after %d probes (estimate %.1f/s)\n", cfg.workload, rate, probes, est)
+	fmt.Fprintf(os.Stderr, "perfbench: %s max rate %.2f/s after %d probes (estimate %.1f/s between %.1f/s and %.1f/s)\n", cfg.workload, rate, probes, est, cpuBound, connBound)
 	return out, nil
 }
 
-// ---- workload state shared by the serve workloads ------------------------
+// ---- serve workload state ------------------------------------------------
 
-// serveState is what a serve workload's ops draw on besides fresh
+// serveState is what the serve workload's ops draw on besides fresh
 // inputs: formulas an untimed warm-up put in the store, and open
 // sessions with the planted models of their formulas.
 type serveState struct {
-	warm     []*cnf.Formula
-	warmText []string
-	sessions []session
+	miter      *cnf.Formula // the self-miters the DIMACS and proof jobs shuffle
+	proofMiter *cnf.Formula
+	warm       []*cnf.Formula
+	warmText   []string
+	sessions   []session
 }
 
 type session struct {
@@ -1021,7 +1019,7 @@ type session struct {
 	hidden  []bool
 }
 
-// prepareServe boots the server for a serve workload: an untimed
+// prepareServe boots the server for the serve workload: an untimed
 // warm-up fills a fresh store with warm formulas and stops the server,
 // then the server boots serverStarts times on that store (the boots are
 // timed, store replay included) and the last boot gets the sessions.
@@ -1029,7 +1027,10 @@ func prepareServe(cfg *config, args []string, dir string, warm, sessions int) (*
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, 0, nil, err
 	}
-	st := &serveState{}
+	st := &serveState{
+		miter:      selfMiterCNF(circuit.ArrayMultiplier(heavyMiterBits)),
+		proofMiter: selfMiterCNF(circuit.ArrayMultiplier(heavyProofBits)),
+	}
 	rng := rand.New(rand.NewSource(cfg.seed*31 + 5))
 	for i := 0; i < warm; i++ {
 		f := tinyFormula(rng)
@@ -1088,23 +1089,27 @@ func tinyFormula(rng *rand.Rand) *cnf.Formula { return plantedKSAT(250, 750, rng
 func (st *serveState) buildOp(o *op, kind string, rng *rand.Rand) {
 	o.path, o.kind = "/v1/jobs", kind
 	switch kind {
-	case "dimacs":
+	case "miter":
+		f := shuffleCNF(st.miter, rng)
+		o.formula, o.text, o.check = f, cnf.DIMACSString(f), checkUnsat
+		o.body = mustJSON(map[string]any{"kind": "dimacs", "dimacs": o.text})
+	case "proof":
+		f := shuffleCNF(st.proofMiter, rng)
+		o.formula, o.text, o.check = f, cnf.DIMACSString(f), checkProof
+		o.body = mustJSON(map[string]any{"kind": "dimacs", "dimacs": o.text, "proof": true})
+	case "planted":
 		f := plantedKSAT(200, 780, rng)
 		o.formula, o.text, o.check = f, cnf.DIMACSString(f), checkSat
 		o.body = mustJSON(map[string]any{"kind": "dimacs", "dimacs": o.text})
-	case "proof":
-		f := shuffleCNF(gen.Random3SATHard(100, rng.Int63()), rng)
-		o.formula, o.text, o.check = f, cnf.DIMACSString(f), checkProof
-		o.body = mustJSON(map[string]any{"kind": "dimacs", "dimacs": o.text, "proof": true})
 	case "cec", "cec-bug":
-		mult := circuit.ArrayMultiplier(5)
+		mult := circuit.ArrayMultiplier(heavyCECBits)
 		left := benchText(mult, nil, rng)
 		right := benchText(mult, nil, rng)
 		if kind == "cec-bug" {
 			right = benchText(mutate(mult, rng), nil, rng)
 		}
 		o.bench, o.check, o.extra = []string{left, right}, checkCEC, cecCase{kind == "cec"}
-		o.body = mustJSON(map[string]any{"kind": "cec", "left": left, "right": right, "workers": 1})
+		o.body = mustJSON(map[string]any{"kind": "cec", "left": left, "right": right})
 	case "bmc":
 		model := counterBench(8, heavyBMCDepth, rng)
 		o.bench, o.check, o.extra = []string{model}, checkBMC, heavyBMCDepth
@@ -1112,10 +1117,6 @@ func (st *serveState) buildOp(o *op, kind string, rng *rand.Rand) {
 	case "repeat":
 		k := rng.Intn(len(st.warm))
 		o.formula, o.text, o.check = st.warm[k], st.warmText[k], checkSat
-		o.body = mustJSON(map[string]any{"kind": "dimacs", "workers": 1, "dimacs": o.text})
-	case "fresh":
-		f := tinyFormula(rng)
-		o.formula, o.text, o.check = f, cnf.DIMACSString(f), checkSat
 		o.body = mustJSON(map[string]any{"kind": "dimacs", "workers": 1, "dimacs": o.text})
 	case "session":
 		s := st.sessions[rng.Intn(len(st.sessions))]
@@ -1130,16 +1131,6 @@ func (st *serveState) buildOp(o *op, kind string, rng *rand.Rand) {
 		o.path, o.check = "/v1/sessions/"+s.id+"/query", checkSession
 		o.extra = sessionCase{s.formula, assume}
 		o.body = mustJSON(map[string]any{"assume": assume})
-	case "batch":
-		var items []map[string]any
-		var forms []*cnf.Formula
-		for k := 0; k < lightBatchItems; k++ {
-			f := tinyFormula(rng)
-			forms = append(forms, f)
-			items = append(items, map[string]any{"kind": "dimacs", "workers": 1, "dimacs": cnf.DIMACSString(f)})
-		}
-		o.path, o.check, o.extra, o.items = "/v1/jobs/batch", checkBatch, forms, len(forms)
-		o.body = mustJSON(map[string]any{"items": items})
 	}
 }
 
@@ -1188,8 +1179,6 @@ func cacheCheck(m map[string]float64, ops []op) selfCheck {
 	for i := range ops {
 		switch ops[i].kind {
 		case "session":
-		case "batch":
-			jobs += ops[i].items
 		case "repeat":
 			repeats++
 			jobs++
@@ -1221,7 +1210,7 @@ func walBytesPerWrite(m, before, after map[string]float64) {
 	m["store.wal_bytes_per_op"] = ratio(after["satserved_store_wal_bytes"]-before["satserved_store_wal_bytes"], written)
 }
 
-// serveArgs are the server flags both serve workloads use: a FileStore,
+// serveArgs are the server flags of the serve workload: a FileStore,
 // a cache that holds every formula a run sends (so a repeat misses only
 // if the store lost it), and two resident sessions (so further sessions
 // are checkpointed and revived under the load).
@@ -1231,38 +1220,53 @@ func serveArgs(dir string) []string {
 
 // ---- serve-heavy ---------------------------------------------------------
 
-// Heavy ops, in exact shares: 25% unique planted 3-SAT at 200 variables
-// and clause ratio 3.9 (SAT by construction); 15% uniform threshold
-// 3-SAT at 100 variables with "proof": true (certified, and re-checked
-// here); 15% CEC of a 5-bit multiplier against a renamed copy
+// Heavy ops, in exact shares: 40% DIMACS self-miters of a 5-bit
+// multiplier (261 variables) and 15% "proof": true DIMACS self-miters of
+// a 4-bit one (161 variables), both UNSAT by construction and shuffled
+// per op; 10% planted 3-SAT at 200 variables and clause ratio 3.9 (SAT
+// by construction); 10% CEC of a 4-bit multiplier against a renamed copy
 // (equivalent by construction) and 5% against a mutated copy (its
-// counterexample is replayed); 30% BMC counters with a known depth; and,
+// counterexample is replayed); 10% BMC counters with a known depth; and,
 // so the cache, the store replay and the sessions are measured here too,
 // 5% repeats of formulas a warm-up put in the store and 5% session
-// assumption queries.
+// assumption queries. Every job but the repeats asks for the scheduler's
+// fair share of workers.
 //
 // The shares place homogeneous clusters where the percentiles fall, so
 // the percentiles hold steady from seed to seed where the heavy tail of
-// random 3-SAT would not. The equivalent CEC jobs are the slowest by a
-// margin and, at 15% of the ops, hold both the p95 and the p99; they ask
-// for one worker, so a portfolio race does not widen their spread (the
-// DIMACS jobs take the fair share). The fixed-depth BMC jobs, at 30%,
-// sit across the median above the 45% of faster ops. The rate keeps the
-// server's CPUs and the client's connections about a fifth busy, so
-// latency follows service time rather than queueing, which would
-// amplify the host's speed swings; the window is 60% of the run so it
-// still holds 200+ ops.
+// random 3-SAT would not: multiplier self-miter shuffles vary by about
+// 25% in solve time, random 3-SAT by 15x, and each slot's latency is a
+// median over serveRounds fresh ops. The 5-bit self-miters are the
+// slowest ops and hold the p95 and the p99; a portfolio of two solves
+// one in about 35 ms and a single worker in about 50 ms, so how the fair
+// share splits the CPUs between running jobs moves them. The proof jobs,
+// whose certification (a DRAT check in the server) takes more than half
+// their service time, hold the median above the 45% of faster ops.
+//
+// At 16 ops/s the server's CPUs are about a quarter busy. Ops that
+// arrive while both connections are busy wait in the generator, and that
+// wait is on the latency path, but latency follows service time more
+// than queueing, which amplifies the host's speed swings: in four runs
+// of one seed at each rate, alternated, p50, p95 and p99 spread by
+// 0.22-0.30 of their median at 24 ops/s and by 0.05-0.11 at 16 ops/s.
+// One arrival per interval of the window, rather than arrivals drawn
+// independently, keeps seeded bursts from queueing ops: the generator's
+// p95 lateness fell from 3-16 ms to about 1 ms. The window is 80% of the
+// run, 384 ops (128 slots) at 30 s.
 const (
-	heavyRate     = 16.0
-	heavyLimit    = 250 * time.Millisecond
-	heavyBMCDepth = 200
-	heavyWarm     = 100
-	heavySessions = 4
+	heavyRate      = 16.0
+	heavyLimit     = 250 * time.Millisecond
+	heavyBMCDepth  = 200
+	heavyMiterBits = 5
+	heavyProofBits = 4
+	heavyCECBits   = 4
+	heavyWarm      = 100
+	heavySessions  = 4
 )
 
 var (
-	heavyKinds  = []string{"dimacs", "proof", "cec", "cec-bug", "bmc", "repeat", "session"}
-	heavyShares = []float64{0.25, 0.15, 0.15, 0.05, 0.30, 0.05, 0.05}
+	heavyKinds  = []string{"miter", "proof", "planted", "cec", "cec-bug", "bmc", "repeat", "session"}
+	heavyShares = []float64{0.40, 0.15, 0.10, 0.10, 0.05, 0.10, 0.05, 0.05}
 )
 
 func runServeHeavy(cfg *config) (*outcome, error) {
@@ -1271,79 +1275,19 @@ func runServeHeavy(cfg *config) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var check selfCheck
 	sr := &serveRun{
 		cfg: cfg, srv: srv, setup: setup, limit: heavyLimit,
-		window: time.Duration(cfg.seconds * 0.6 * float64(time.Second)), rate: heavyRate, slices: 1,
-		mk: st.mixOps(heavyKinds, heavyShares),
-		afterWindow: func(m map[string]float64, ops []op, res []opResult, before, after map[string]float64) {
-			check = cacheCheck(m, ops)
-			sessionLatency(m, ops, res)
-			walBytesPerWrite(m, before, after)
-		},
+		window: time.Duration(cfg.seconds * 0.8 * float64(time.Second)), rate: heavyRate,
+		slots: func(rng *rand.Rand, n int) ([]op, []int) { return st.rounds(rng, n, heavyKinds, heavyShares) },
+		mk:    st.mixOps(heavyKinds, heavyShares),
 	}
 	out, err := sr.exec()
 	if err != nil {
 		return nil, err
 	}
-	out.checks = append(out.checks, check)
 	if cfg.trace {
 		s := out.metrics["bench.solve_share_p95"]
 		out.checks = append(out.checks, selfCheck{"solve_share_p95", "serve.solve_ms is > 0.5 of server time at p95", s, s > 0.5})
-	}
-	return out, os.RemoveAll(dir)
-}
-
-// ---- serve-light ---------------------------------------------------------
-
-// Light ops, in exact shares: 45% repeats of formulas an untimed warm-up
-// put in the store (cache hits after the restart replays it; about half
-// of the job submissions), 40% fresh tiny formulas (written behind to
-// the WAL), 13% session assumption queries and 2% NDJSON batches of
-// four. The batches are the slowest ops; at 2% they sit at the p99. Host
-// jitter of a few milliseconds dominates these ops' tail, so the window
-// is 80% of the run (2400 ops at 25 s) and the percentiles are medians
-// over five slices of it. Jobs ask for one worker, as a client sending
-// tiny jobs would: a portfolio's start-up would cost more than the solve.
-const (
-	lightRate       = 120.0
-	lightLimit      = 25 * time.Millisecond
-	lightWarm       = 200
-	lightSessions   = 4
-	lightBatchItems = 4
-)
-
-var (
-	lightKinds  = []string{"fresh", "repeat", "session", "batch"}
-	lightShares = []float64{0.40, 0.45, 0.13, 0.02}
-)
-
-func runServeLight(cfg *config) (*outcome, error) {
-	dir := filepath.Join(cfg.work, fmt.Sprintf("store-light-%d", cfg.seed))
-	srv, setup, st, err := prepareServe(cfg, serveArgs(dir), dir, lightWarm, lightSessions)
-	if err != nil {
-		return nil, err
-	}
-	var check selfCheck
-	sr := &serveRun{
-		cfg: cfg, srv: srv, setup: setup, limit: lightLimit,
-		window: time.Duration(cfg.seconds * 0.8 * float64(time.Second)), rate: lightRate, slices: 5,
-		mk: st.mixOps(lightKinds, lightShares),
-		afterWindow: func(m map[string]float64, ops []op, res []opResult, before, after map[string]float64) {
-			check = cacheCheck(m, ops)
-			sessionLatency(m, ops, res)
-			walBytesPerWrite(m, before, after)
-		},
-	}
-	out, err := sr.exec()
-	if err != nil {
-		return nil, err
-	}
-	m := out.metrics
-	out.checks = append(out.checks, check)
-	if cfg.trace {
-		out.checks = append(out.checks, selfCheck{"solve_vs_http_p50", "serve.solve_ms p50 below serve.http_ms p50",
-			m["serve.solve_ms"] - m["serve.http_ms"], m["serve.solve_ms"] < m["serve.http_ms"]})
 	}
 	return out, os.RemoveAll(dir)
 }

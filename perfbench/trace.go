@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -71,54 +70,18 @@ func (t *tracer) add(name string, parent int, op int64, start, end time.Time) in
 	return len(t.spans)
 }
 
-// selfTimes returns, per span, its duration minus the part of its
-// interval its children cover (children are clipped to the parent and
-// their union is taken, so overlapping children count once).
-func (t *tracer) selfTimes() map[int]time.Duration {
+// durByName lists span durations (ms) per span name. A library
+// workload's spans wrap one public call each and never nest, so a span's
+// duration is its layer's self time.
+func (t *tracer) durByName() map[string][]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kids := map[int][]span{}
-	for _, s := range t.spans {
-		if s.Parent != 0 && s.End >= 0 {
-			kids[s.Parent] = append(kids[s.Parent], s)
-		}
-	}
-	out := make(map[int]time.Duration, len(t.spans))
-	for _, s := range t.spans {
-		if s.End < 0 {
-			continue
-		}
-		covered := int64(0)
-		cur := s.Start
-		for _, c := range sortedByStart(kids[s.ID]) {
-			lo, hi := max(c.Start, cur), min(c.End, s.End)
-			if hi > lo {
-				covered += hi - lo
-				cur = hi
-			}
-		}
-		out[s.ID] = time.Duration(s.End-s.Start-covered) * time.Microsecond
-	}
-	return out
-}
-
-// selfByName sums self time per span name.
-func (t *tracer) selfByName() map[string][]float64 {
-	self := t.selfTimes()
 	out := map[string][]float64{}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, s := range t.spans {
-		if d, ok := self[s.ID]; ok {
-			out[s.Name] = append(out[s.Name], ms(d))
+		if s.End >= 0 {
+			out[s.Name] = append(out[s.Name], float64(s.End-s.Start)/1000)
 		}
 	}
-	return out
-}
-
-func sortedByStart(s []span) []span {
-	out := append([]span(nil), s...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
